@@ -1,12 +1,12 @@
-"""Zoned-market benchmark: incremental-gain engine on sharded zone markets.
+"""Zoned-market benchmark: the vectorized engine on sharded zone markets.
 
 The 220-offer suite sharded into four zone markets (half explicitly
-assigned by routing key, half hash-sharded).  Asserts the incremental-gain
-engine is ≥2× the ``engine="reference"`` per-start loop with placements
-*bitwise identical* to the vectorized engine, that every aggregate is
-scheduled in exactly one zone, and that the ``schedule_zones(workers=2)``
-process-pool fan-out reproduces the sequential report exactly — then
-refreshes the repository's ``BENCH_zones.json`` baseline.
+assigned by routing key, half hash-sharded).  Asserts the vectorized
+engine is ≥2× the ``engine="reference"`` per-start loop with identical
+placements, that every aggregate is scheduled in exactly one zone, and
+that the ``schedule_zones(workers=2)`` process-pool fan-out reproduces the
+sequential report exactly — then refreshes the repository's
+``BENCH_zones.json`` baseline.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def test_zones_speedup_and_equivalence(report):
                 "engine": name,
                 "seconds": greedy[f"{name}_seconds"],
             }
-            for name in ("reference", "vectorized", "incremental")
+            for name in ("reference", "vectorized")
         ],
     )
 
@@ -43,18 +43,16 @@ def test_zones_speedup_and_equivalence(report):
     assert 0 < workload["mapped_keys"] < workload["aggregates"]
 
     equivalence = bench_report["equivalence"]
-    # The incremental engine is a pure execution-plan change: placements,
-    # starts and slice energies bitwise equal to the vectorized engine.
-    assert equivalence["incremental_identical_to_vectorized"] is True
-    # ... and identical placements to the reference loop (cost to 1e-9).
+    # The vectorized engine is a pure execution-plan change: identical
+    # placements to the reference loop (cost to 1e-9).
     assert equivalence["reference_identical_placements"] is True
     assert equivalence["cost_match"] is True
     # Zones are independent: the process-pool fan-out reproduces the
     # sequential report exactly, and every offer lands in exactly one zone.
     assert equivalence["workers_match_sequential"] is True
     assert equivalence["zone_partition"] is True
-    # The acceptance gate: ≥2x over the reference full-re-scoring loop on
-    # the 220-offer suite.
+    # The acceptance gate: ≥2x over the reference per-start loop on the
+    # 220-offer suite.
     assert greedy["speedup_vs_reference"] >= 2.0
     # Every zone received a non-trivial share of the shard.
     assert all(zone["offers"] > 0 for zone in bench_report["zones"])

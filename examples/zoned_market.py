@@ -4,7 +4,7 @@ Runs the shipped ``examples/specs/zones.json`` spec end to end — simulate
 a fleet, extract flex-offers, aggregate them fleet-wide, then shard the
 aggregates across three zone markets (explicit household assignment for
 ``north``/``south``, hash-shard fallback for the rest) and schedule every
-zone independently on the incremental-gain engine.  Finishes with the
+zone independently on the default vectorized engine.  Finishes with the
 library-level ``schedule_zones`` driver to show the worker fan-out
 producing an identical report.
 
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro.api import FlexibilityService, load_run_spec
 from repro.pipeline import FleetPipeline, fleet_zoned_target
-from repro.scheduling import ScheduleConfig, schedule_zones
+from repro.scheduling import schedule_zones
 from repro.simulation import generate_fleet
 
 SPEC_PATH = Path(__file__).resolve().parent / "specs" / "zones.json"
@@ -61,9 +61,8 @@ def main() -> None:
     fleet = generate_fleet(5, spec.scenario.start, spec.scenario.days, seed=42)
     aggregates = FleetPipeline(chunk_size=4).run(fleet).aggregates
     zoned = fleet_zoned_target(fleet, zones=3)
-    config = ScheduleConfig(engine="incremental")
-    sequential = schedule_zones(aggregates, zoned, config)
-    fanned = schedule_zones(aggregates, zoned, config, workers=2)
+    sequential = schedule_zones(aggregates, zoned)
+    fanned = schedule_zones(aggregates, zoned, workers=2)
     print(
         f"schedule_zones over {len(aggregates)} aggregates: "
         f"cost {sequential.cost:.2f}, "

@@ -167,6 +167,7 @@ SCHEDULE_TARGETS: tuple[str, ...] = ("wind", "flat")
 
 #: Placement orders / engines — mirror ``repro.scheduling.greedy`` (kept in
 #: sync by a test; duplicated here so the spec layer stays import-light).
+#: ``"auto"`` and ``"incremental"`` are aliases of ``"vectorized"``.
 SCHEDULE_ORDERS: tuple[str, ...] = ("least-flexible-first", "largest-first", "as-given")
 SCHEDULE_ENGINES: tuple[str, ...] = ("vectorized", "incremental", "reference", "auto")
 
@@ -514,12 +515,6 @@ class ScheduleSpec:
                 raise SpecError(
                     "schedule.robust applies to plain targets only; zoned "
                     "markets keep point scheduling"
-                )
-            if self.engine == "incremental":
-                raise SpecError(
-                    "schedule.robust supports the vectorized and reference "
-                    'engines (and "auto"); the incremental engine is '
-                    "point-target only"
                 )
 
     def config(self):

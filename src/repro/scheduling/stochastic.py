@@ -51,9 +51,7 @@ def improve_schedule(
         return result
     if engine == "reference":
         return _improve_reference(result, schedules, rng, iterations)
-    # "incremental" is a greedy-placement strategy; the hill climber's moves
-    # are already window-local, so it shares the vectorized improver (and
-    # stays bitwise identical to the reference engine either way).
+    # "auto" and "incremental" are aliases of "vectorized" (see greedy.py).
     return _improve_vectorized(result, schedules, rng, iterations)
 
 

@@ -25,12 +25,9 @@ past one market:
   contract the fleet pipeline and the conformance runner already enforce.
 
 Inside each zone the placement engine is selectable via
-:class:`~repro.scheduling.greedy.ScheduleConfig`; the zone-sharded hot
-path defaults to ``engine="auto"``, resolved per zone from that zone's
-own workload shape (:mod:`repro.scheduling.autotune`).  All engines are
-gated bitwise-identical (vectorized/incremental) or
-placement-identical (reference) and benchmarked in
-``benchmarks/bench_zones.py`` (``BENCH_zones.json``).
+:class:`~repro.scheduling.greedy.ScheduleConfig` and defaults to the
+vectorized engine; the reference engine is its placement-identical oracle,
+both benchmarked in ``benchmarks/bench_zones.py`` (``BENCH_zones.json``).
 """
 
 from __future__ import annotations
@@ -52,12 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.market.clearing import ClearingResult
     from repro.pipeline.dispatch import RetryPolicy
 
-#: Engine the zone-sharded scheduler uses unless the caller says otherwise.
-#: ``"auto"`` resolves per zone from that zone's own workload shape (see
-#: :mod:`repro.scheduling.autotune`): dense shards take the vectorized
-#: engine, sparse ones the incremental engine — placements are bitwise
-#: identical either way, so the default is purely a wall-clock choice.
-ZONE_DEFAULT_CONFIG = ScheduleConfig(engine="auto")
+#: Configuration the zone-sharded scheduler uses unless the caller says
+#: otherwise.
+ZONE_DEFAULT_CONFIG = ScheduleConfig()
 
 
 @dataclass(frozen=True)

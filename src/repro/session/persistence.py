@@ -87,9 +87,15 @@ def _checksum(seq: int, kind: str, data: dict[str, Any]) -> int:
 
 def _encode_record(seq: int, kind: str, data: dict[str, Any]) -> bytes:
     record = {"seq": seq, "type": kind, "data": data, "crc": _checksum(seq, kind, data)}
-    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode(
-        "utf-8"
-    )
+    try:
+        # allow_nan=False: a bare NaN/Infinity token is not JSON, and a
+        # record carrying one would wedge every later resume.
+        text = json.dumps(
+            record, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+    except ValueError as exc:
+        raise PersistenceError(f"cannot journal {kind!r} record: {exc}") from None
+    return (text + "\n").encode("utf-8")
 
 
 def _decode_record(line: bytes) -> dict[str, Any]:

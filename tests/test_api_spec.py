@@ -183,6 +183,21 @@ class TestScheduleSpec:
         assert (config.order, config.engine) == ("largest-first", "reference")
         assert (config.improve_iterations, config.improve_seed) == (7, 3)
 
+    @pytest.mark.parametrize("engine", ["auto", "incremental"])
+    def test_engine_aliases_round_trip_unchanged(self, engine):
+        # "auto" and "incremental" are aliases of "vectorized" that older
+        # spec files carry; they load and re-encode byte-for-byte.
+        encoded = RunSpec(
+            pipeline=PipelineSpec(schedule=ScheduleSpec(engine=engine))
+        ).to_dict()
+        assert encoded["pipeline"]["schedule"]["engine"] == engine
+        assert RunSpec.from_dict(encoded).to_dict() == encoded
+        assert RunSpec.from_dict(encoded).pipeline.schedule.config().engine == engine
+
+    def test_engine_key_omitted_defaults_to_vectorized(self):
+        spec = ScheduleSpec.from_dict({"target": "wind"})
+        assert spec.engine == "vectorized"
+
     @given(spec=run_specs)
     @settings(max_examples=50, deadline=None)
     def test_file_round_trip(self, spec: RunSpec, tmp_path_factory):

@@ -4,7 +4,7 @@ Seven machine-readable bench artefacts are load-bearing outside this repo:
 ``BENCH_fleet.json`` (the committed fleet-pipeline speedup baseline),
 ``BENCH_schedule.json`` (the scheduling-engine speedup baseline),
 ``BENCH_zones.json`` (the zone-sharded multi-market baseline),
-``BENCH_scale.json`` (the million-household scale-out baseline),
+``BENCH_scale.json`` (the aggregate+schedule scale microbench baseline),
 ``BENCH_market.json`` (the merit-order clearing baseline),
 ``BENCH_uncertainty.json`` (the robust quantile-fan scheduling baseline)
 and the ``--bench-json`` table dump ``benchmarks/conftest.py`` writes for CI
@@ -113,7 +113,6 @@ class TestZonesBenchBaseline:
         assert greedy["speedup_vs_reference"] >= 2.0
         assert greedy["placed"] + greedy["unplaced"] == workload["aggregates"]
         equivalence = report["equivalence"]
-        assert equivalence["incremental_identical_to_vectorized"] is True
         assert equivalence["reference_identical_placements"] is True
         assert equivalence["cost_match"] is True
         assert equivalence["workers_match_sequential"] is True
@@ -174,13 +173,12 @@ class TestScaleBenchBaseline:
     def test_bench_scale_json_semantics(self):
         report = json.loads((REPO_ROOT / "BENCH_scale.json").read_text())
         # The throughput ladder covers the 1k/10k/100k rungs, each placing
-        # the whole fleet through stream -> aggregate -> autotuned schedule.
+        # the whole synthetic fleet through stream -> aggregate -> schedule.
         sizes = report["workload"]["sizes"]
         assert sizes == [1_000, 10_000, 100_000]
         for rung in report["throughput"]:
             assert rung["households_per_second"] > 0
             assert rung["placed"] + rung["unplaced"] == rung["aggregates"]
-            assert rung["engine_resolved"] in ("vectorized", "incremental")
         # Shared-memory fan-out beats pickling dispatch by the gated factor
         # on the committed 10k-household matrix, with identical results.
         fanout = report["fanout"]
@@ -198,17 +196,6 @@ class TestScaleBenchBaseline:
             streaming["streaming_peak_mb_small"]
             < streaming["materialized_peak_mb_small"]
         )
-        # The engine-crossover sweep: the sparse end is a workload where
-        # the incremental engine measurably beats the vectorized one and
-        # engine="auto" picks it; the dense end flips; every rung bitwise.
-        crossover = report["crossover"]
-        assert crossover["sparse_winner_is_incremental"] is True
-        assert crossover["auto_picks_sparse_winner"] is True
-        assert crossover["auto_picks_dense_winner"] is True
-        assert crossover["all_rungs_bitwise_identical"] is True
-        sparse = crossover["rows"][-1]
-        assert sparse["incremental_seconds"] < sparse["vectorized_seconds"]
-        assert sparse["density"] < crossover["density_crossover"]
 
 
 class TestUncertaintyBenchBaseline:
@@ -240,6 +227,21 @@ class TestUncertaintyBenchBaseline:
         assert len(levels) == len(realized["point_costs"])
         assert len(levels) == len(realized["robust_costs"])
         assert realized["robust_costs"][0] <= realized["point_costs"][0]
+
+
+class TestPerformanceDoc:
+    def test_suite_table_lists_every_bench_suite(self):
+        # PERFORMANCE.md's suite table claims to mirror BENCH_SUITES.
+        from repro.cli import BENCH_SUITES
+
+        text = (REPO_ROOT / "PERFORMANCE.md").read_text()
+        section = text.split("## Benchmark suites", 1)[1].split("\n## ", 1)[0]
+        listed = {
+            line.split("|")[1].strip().strip("`")
+            for line in section.splitlines()
+            if line.startswith("| `")
+        }
+        assert listed == set(BENCH_SUITES)
 
 
 class TestBenchJsonWriter:

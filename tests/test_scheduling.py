@@ -249,6 +249,8 @@ class TestEngineEquivalence:
         assert [o.offer_id for o in reference.unplaced] == [
             o.offer_id for o in vectorized.unplaced
         ]
+        for a, b in zip(reference.schedules, vectorized.schedules):
+            assert a.slice_energies == pytest.approx(b.slice_energies, rel=1e-12)
 
 
 class TestEarliestAllowed:
@@ -267,7 +269,7 @@ class TestEarliestAllowed:
         target = TimeSeries(axis, target_values)
         fo = offer(start_h=0.0, flex_h=20.0, e=2.0)
         boundary = START + timedelta(hours=12)
-        for engine in ("vectorized", "incremental", "reference"):
+        for engine in ("vectorized", "reference"):
             result = greedy_schedule(
                 [fo],
                 target,
@@ -281,7 +283,7 @@ class TestEarliestAllowed:
         axis = axis_for_days(START, 1)
         target = TimeSeries.full(axis, 1.0)
         fo = offer(start_h=1.0, flex_h=2.0, e=1.0)  # window closes 03:00
-        for engine in ("vectorized", "incremental", "reference"):
+        for engine in ("vectorized", "reference"):
             result = greedy_schedule(
                 [fo],
                 target,
@@ -313,7 +315,7 @@ class TestEarliestAllowed:
                 config=ScheduleConfig(engine=engine),
                 earliest_allowed=boundary,
             )
-            for engine in ("vectorized", "incremental", "reference")
+            for engine in ("vectorized", "reference")
         ]
         for result in results:
             for schedule in result.schedules:
@@ -322,7 +324,7 @@ class TestEarliestAllowed:
             [(s.offer.offer_id, s.start) for s in result.schedules]
             for result in results
         ]
-        assert placements[0] == placements[1] == placements[2]
+        assert placements[0] == placements[1]
 
 
 class TestStartGrid:

@@ -86,13 +86,53 @@ class TestRobustConfig:
         with pytest.raises(SchedulingError):
             RobustConfig(**kwargs)
 
-    def test_incremental_engine_rejected(self):
-        with pytest.raises(SchedulingError):
-            ScheduleConfig(engine="incremental", robust=RobustConfig())
+    def test_incremental_alias_accepted(self):
+        # "incremental" is an alias of "vectorized", robust mode included.
+        config = ScheduleConfig(engine="incremental", robust=RobustConfig())
+        assert config.engine == "incremental"
+        spec = ScheduleSpec(engine="incremental", robust=RobustSpec())
+        assert spec.config().engine == "incremental"
 
     def test_auto_and_reference_engines_accepted(self):
         ScheduleConfig(engine="auto", robust=RobustConfig())
         ScheduleConfig(engine="reference", robust=RobustConfig())
+
+
+class TestEngineAliases:
+    """``"auto"`` and ``"incremental"`` place bitwise like ``"vectorized"``."""
+
+    @pytest.mark.parametrize("robust", [None, RobustConfig()], ids=["point", "robust"])
+    @pytest.mark.parametrize("engine", ["auto", "incremental"])
+    def test_alias_places_bitwise_like_vectorized(self, workload, engine, robust):
+        offers, target = workload
+        alias = greedy_schedule(
+            offers, target, config=ScheduleConfig(engine=engine, robust=robust)
+        )
+        vectorized = greedy_schedule(
+            offers, target, config=ScheduleConfig(robust=robust)
+        )
+        assert alias == vectorized
+        assert placements(alias) == placements(vectorized)
+
+    @pytest.mark.parametrize("engine", ["auto", "incremental"])
+    def test_alias_with_improver_matches_vectorized(self, engine):
+        from repro.pipeline.fleet import schedule_aggregates
+
+        aggregates, target = build_schedule_workload(
+            n_aggregates=24, members_per_aggregate=2, days=2, seed=7
+        )
+        knobs = {"improve_iterations": 5, "improve_seed": 3}
+        alias = schedule_aggregates(
+            aggregates, target, ScheduleConfig(engine=engine, **knobs)
+        )
+        vectorized = schedule_aggregates(aggregates, target, ScheduleConfig(**knobs))
+        assert placements(alias) == placements(vectorized)
+
+    def test_aliases_accepted_unknown_rejected(self):
+        assert ScheduleConfig(engine="auto").engine == "auto"
+        assert ScheduleConfig(engine="incremental").engine == "incremental"
+        with pytest.raises(SchedulingError):
+            ScheduleConfig(engine="warp")
 
 
 class TestRiskArithmetic:

@@ -7,10 +7,9 @@ Covers the tentpole contract of the zones subsystem:
 * :func:`schedule_zones` — zone partition, per-zone independence, and the
   ``workers=N`` process-pool fan-out reproducing the sequential report
   *exactly*;
-* the ``engine="incremental"`` placement engine — bitwise identical to the
-  vectorized engine (and placement-identical to the reference loop) on
-  real fleet aggregates, including the gap-ridden and DST fall-back
-  conformance scenarios;
+* the vectorized placement engine — placement-identical to the reference
+  loop on real fleet aggregates, including the gap-ridden and DST
+  fall-back conformance scenarios, under every placement order;
 * the zone wire format — spec and report round trips, a pinned golden for
   the zoned encoding, and backward-compatible loads of pre-zone goldens.
 """
@@ -240,10 +239,17 @@ class TestScheduleZones:
         assert result.zone_result("b").schedules == []
         assert len(result.schedules) + len(result.unplaced) == len(aggregates)
 
+    def test_zoned_scheduling_accepts_auto(self, fleet_aggregates, zoned):
+        # "auto" is an alias of "vectorized": schedule_zones takes it
+        # and places every zone bitwise like the default engine.
+        _, aggregates = fleet_aggregates
+        auto = schedule_zones(aggregates, zoned, ScheduleConfig(engine="auto"))
+        assert auto == schedule_zones(aggregates, zoned)
 
-class TestIncrementalEngine:
-    """ROADMAP: placements only re-score overlapping candidates — and stay
-    bitwise identical to the vectorized engine, scenario by scenario."""
+
+class TestVectorizedVsReference:
+    """The vectorized engine places exactly like its reference oracle on
+    real fleet aggregates, scenario by scenario."""
 
     def _aggregates_on(self, fleet):
         extractor = create_extractor("peak-based", flexible_share=0.05)
@@ -255,7 +261,7 @@ class TestIncrementalEngine:
         [w.gap_ridden_fleet, w.dst_fallback_fleet],
         ids=["gap-ridden-metering", "dst-fallback-week"],
     )
-    def test_bitwise_identical_on_conformance_scenarios(self, fleet_builder):
+    def test_on_conformance_scenarios(self, fleet_builder):
         fleet = fleet_builder()
         offers = self._aggregates_on(fleet)
         axis = fleet.metering_axis()
@@ -264,27 +270,39 @@ class TestIncrementalEngine:
         if target.total() > 0 and flexible > 0:
             target = target * (flexible / target.total())
         vectorized = greedy_schedule(offers, target)
-        incremental = greedy_schedule(
-            offers, target, config=ScheduleConfig(engine="incremental")
-        )
         reference = greedy_schedule(
             offers, target, config=ScheduleConfig(engine="reference")
         )
-        assert [
-            (s.offer.offer_id, s.start, s.slice_energies)
-            for s in incremental.schedules
-        ] == [
-            (s.offer.offer_id, s.start, s.slice_energies)
-            for s in vectorized.schedules
-        ]
-        assert [o.offer_id for o in incremental.unplaced] == [
-            o.offer_id for o in vectorized.unplaced
-        ]
-        assert incremental.cost == vectorized.cost
-        assert [(s.offer.offer_id, s.start) for s in incremental.schedules] == [
+        assert [(s.offer.offer_id, s.start) for s in vectorized.schedules] == [
             (s.offer.offer_id, s.start) for s in reference.schedules
         ]
-        assert incremental.cost == pytest.approx(reference.cost, rel=1e-9)
+        assert [o.offer_id for o in vectorized.unplaced] == [
+            o.offer_id for o in reference.unplaced
+        ]
+        assert vectorized.cost == pytest.approx(reference.cost, rel=1e-9)
+
+    def test_on_every_order(self, fleet_aggregates):
+        _, aggregates = fleet_aggregates
+        offers = [a.offer for a in aggregates]
+        target = simulate_wind_production(
+            axis_for_days(START, 5), np.random.default_rng(7)
+        )
+        for order in ("least-flexible-first", "largest-first", "as-given"):
+            vectorized = greedy_schedule(offers, target, order=order)
+            reference = greedy_schedule(
+                offers,
+                target,
+                order=order,
+                config=ScheduleConfig(engine="reference"),
+            )
+            assert [s.start for s in vectorized.schedules] == [
+                s.start for s in reference.schedules
+            ]
+
+
+class TestIncrementalEngine:
+    """``engine="incremental"`` stays an accepted name: an alias that
+    places bitwise like the vectorized engine."""
 
     def test_identical_on_offers_off_the_axis_grid(self):
         # The same degenerate terrain the vectorized engine is tested on:
@@ -320,24 +338,6 @@ class TestIncrementalEngine:
         assert [o.offer_id for o in vectorized.unplaced] == [
             o.offer_id for o in incremental.unplaced
         ]
-
-    def test_identical_on_every_order(self, fleet_aggregates):
-        _, aggregates = fleet_aggregates
-        offers = [a.offer for a in aggregates]
-        target = simulate_wind_production(
-            axis_for_days(START, 5), np.random.default_rng(7)
-        )
-        for order in ("least-flexible-first", "largest-first", "as-given"):
-            vectorized = greedy_schedule(offers, target, order=order)
-            incremental = greedy_schedule(
-                offers,
-                target,
-                order=order,
-                config=ScheduleConfig(engine="incremental"),
-            )
-            assert [s.start for s in vectorized.schedules] == [
-                s.start for s in incremental.schedules
-            ]
 
 
 def golden_zoned_result() -> ZonedScheduleResult:
@@ -420,7 +420,6 @@ ZONED_SPEC = RunSpec(
     pipeline=PipelineSpec(
         chunk_size=4,
         schedule=ScheduleSpec(
-            engine="incremental",
             zones=(
                 ZoneSpec(
                     name="north",

@@ -321,6 +321,58 @@ class TestRecovery:
             FlexibilitySession.resume(tmp_path)
 
 
+class TestNonFiniteReadings:
+    """NaN/inf readings are refused at ``ingest``, before the WAL append.
+
+    Accepting one would journal a bare ``NaN`` token (not JSON) and make
+    every later replan and resume fail; negative readings stay accepted.
+    """
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg-inf"]
+    )
+    def test_rejected_without_touching_the_journal(self, tmp_path, stream, bad):
+        poisoned = _fresh(stream)
+        poisoned.attach_journal(
+            SessionJournal.create(tmp_path / "poisoned", snapshot_every=2)
+        )
+        clean = _fresh(stream)
+        clean.attach_journal(
+            SessionJournal.create(tmp_path / "clean", snapshot_every=2)
+        )
+        _apply(poisoned, stream, stop=3)
+        _apply(clean, stream, stop=3)
+        wal = tmp_path / "poisoned" / WAL_NAME
+        before = wal.read_bytes()
+        with pytest.raises(SessionError, match="finite"):
+            poisoned.ingest(0, 0, [1.0, bad, -5.0])
+        assert wal.read_bytes() == before
+        assert poisoned.journal.last_seq == clean.journal.last_seq
+
+        _apply(poisoned, stream, start=3)
+        _apply(clean, stream, start=3)
+        assert poisoned.replan().to_dict() == clean.replan().to_dict()
+        poisoned.journal.close()
+        restored = restore_session(_fresh(stream), tmp_path / "poisoned")
+        assert restored.snapshot().to_dict() == clean.snapshot().to_dict()
+        assert restored.replan().to_dict() == clean.replan().to_dict()
+
+    def test_negative_readings_stay_accepted(self, stream):
+        session = _fresh(stream)
+        session.ingest(0, 0, [1.0, -5.0])
+        session.replan()
+
+    def test_journal_refuses_a_non_finite_record(self, tmp_path):
+        journal = SessionJournal.create(tmp_path)
+        wal = tmp_path / WAL_NAME
+        before = wal.read_bytes()
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(PersistenceError, match="cannot journal"):
+                journal.append("ingest", {"household": 0, "values": [bad]})
+        assert wal.read_bytes() == before
+        assert journal.last_seq == 0
+
+
 # ---------------------------------------------------------------------- #
 # replay_session: journal/resume surface + the failed-event report
 # ---------------------------------------------------------------------- #
