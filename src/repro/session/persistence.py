@@ -15,12 +15,15 @@ This module makes the session durable with the classic WAL recipe:
   fsynced on ``commit`` records (the events that promise durability to the
   market side) and on snapshots.
 * **Snapshot compaction** — every :attr:`SessionJournal.snapshot_every`
-  replans the session's full state is encoded into ``snapshot-<seq>.json``
-  (checksummed, written via temp-file + rename).  Compaction then prunes
-  older snapshots and drops the WAL prefix the snapshot covers, so the
-  journal's size tracks the live state, not the session's lifetime.
+  replans the session's full state is encoded once into
+  ``snapshot-<seq>.json`` (checksummed, float64 buffers packed as exact
+  base64, written via temp-file + rename + directory fsync).  Compaction
+  then prunes older snapshots and cuts the WAL back to its header — the
+  snapshot covers every logged record — so the journal's size tracks the
+  live state, not the session's lifetime.
 * **Recovery** — :func:`restore_session` (and
-  :meth:`FlexibilitySession.resume`) loads the newest *intact* snapshot,
+  :meth:`FlexibilitySession.resume`) loads the newest *intact* snapshot
+  (read and verified once per resume),
   replays the WAL tail on top of it, and re-attaches the journal so new
   events continue the same ``seq`` line.  A torn final WAL record — the
   signature of dying mid-append — is truncated away; torn *snapshots* are
@@ -36,6 +39,7 @@ snapshot is bitwise identical to the uninterrupted run's.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import zlib
@@ -62,8 +66,13 @@ from repro.timeseries.axis import TimeAxis
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.session.state import FlexibilitySession
 
-#: Wire-format version of journal records and snapshot files.
+#: Wire-format version of journal records (pinned by the WAL header).
 JOURNAL_VERSION = 1
+
+#: Version of the snapshot files written: 2 packs the float64 buffers as
+#: base64; version 1 (JSON float lists) still loads.
+SNAPSHOT_FILE_VERSION = 2
+_READABLE_SNAPSHOT_FILE_VERSIONS = (1, 2)
 
 #: WAL file name inside a journal directory.
 WAL_NAME = "wal.jsonl"
@@ -85,17 +94,30 @@ def _checksum(seq: int, kind: str, data: dict[str, Any]) -> int:
     return zlib.crc32(canonical.encode("utf-8"))
 
 
+def _canonical(data: Any) -> str:
+    """The canonical encoding :func:`_checksum` hashes, refusing NaN/±inf.
+
+    allow_nan=False: a bare NaN/Infinity token is not JSON, and a record
+    or snapshot carrying one would wedge every later resume.
+    """
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def _encode_record(seq: int, kind: str, data: dict[str, Any]) -> bytes:
-    record = {"seq": seq, "type": kind, "data": data, "crc": _checksum(seq, kind, data)}
+    """One WAL line, ``data`` encoded once for both the CRC and the line.
+
+    The bytes equal ``json.dumps(record, sort_keys=True, separators=(",",
+    ":"))`` of ``{"seq", "type", "data", "crc"}`` with ``crc =
+    _checksum(seq, kind, data)``: the sorted record is spliced around the
+    one canonical ``data`` text.
+    """
     try:
-        # allow_nan=False: a bare NaN/Infinity token is not JSON, and a
-        # record carrying one would wedge every later resume.
-        text = json.dumps(
-            record, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        text = _canonical(data)
     except ValueError as exc:
         raise PersistenceError(f"cannot journal {kind!r} record: {exc}") from None
-    return (text + "\n").encode("utf-8")
+    tag = json.dumps(kind)
+    crc = zlib.crc32(f"[{seq},{tag},{text}]".encode("utf-8"))
+    return f'{{"crc":{crc},"data":{text},"seq":{seq},"type":{tag}}}\n'.encode("utf-8")
 
 
 def _decode_record(line: bytes) -> dict[str, Any]:
@@ -147,6 +169,19 @@ def _runs_to_mask(runs: list[list[int]], length: int) -> np.ndarray:
     return mask
 
 
+def _pack_floats(values: np.ndarray) -> str:
+    """A float64 buffer as base64 of its little-endian bytes (exact)."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unpack_floats(stored: str | list[float]) -> np.ndarray:
+    """Inverse of :func:`_pack_floats`; version-1 snapshots store float lists."""
+    if isinstance(stored, str):
+        raw = base64.b64decode(stored, validate=True)
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return np.asarray(stored, dtype=np.float64)
+
+
 def encode_state(session: "FlexibilitySession") -> dict[str, Any]:
     """The session's full durable state (everything recovery must restore)."""
     state = session.state
@@ -161,7 +196,7 @@ def encode_state(session: "FlexibilitySession") -> dict[str, Any]:
                 "household_id": h.household_id,
                 "series_name": h.series_name,
                 "axis": _axis_to_dict(h.axis),
-                "values": [float(v) for v in h.values],
+                "values": _pack_floats(h.values),
                 "covered": _mask_runs(h.covered),
                 "dirty": bool(h.dirty),
                 "offers": [flexoffer_to_dict(o) for o in h.offers],
@@ -184,7 +219,7 @@ def encode_state(session: "FlexibilitySession") -> dict[str, Any]:
             if session.target is None
             else {
                 "name": session.target.name,
-                "values": [float(v) for v in session.target.values],
+                "values": _pack_floats(session.target.values),
             }
         ),
     }
@@ -220,7 +255,7 @@ def decode_state(session: "FlexibilitySession", payload: dict[str, Any]) -> None
                 "the journal was recorded from"
             )
         live.series_name = stored["series_name"]
-        live.values = np.asarray(stored["values"], dtype=np.float64)
+        live.values = _unpack_floats(stored["values"])
         live.covered = _runs_to_mask(stored["covered"], axis.length)
         live.dirty = bool(stored["dirty"])
         live.offers = tuple(flexoffer_from_dict(o) for o in stored["offers"])
@@ -248,7 +283,7 @@ def decode_state(session: "FlexibilitySession", payload: dict[str, Any]) -> None
 
         session.target = TimeSeries(
             session.target.axis,
-            np.asarray(stored_target["values"], dtype=np.float64),
+            _unpack_floats(stored_target["values"]),
             stored_target["name"],
         )
     if session.target is not None:
@@ -266,6 +301,15 @@ def decode_state(session: "FlexibilitySession", payload: dict[str, Any]) -> None
 # ---------------------------------------------------------------------- #
 
 
+def _fsync_directory(directory: Path) -> None:
+    """Make the renames and creations inside ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class SessionJournal:
     """One session's durable journal: the WAL plus its snapshots.
 
@@ -281,13 +325,18 @@ class SessionJournal:
         spec: dict[str, Any] | None,
         snapshot_every: int,
         last_seq: int,
+        header: bytes,
     ) -> None:
         self.directory = directory
         self.spec = spec
         self.snapshot_every = snapshot_every
         self._last_seq = last_seq
+        self._header = header
         self._wal = directory / WAL_NAME
         self._fh = open(self._wal, "ab")
+        # The newest snapshot as :meth:`open` read it, handed to the
+        # :func:`restore_session` that follows so a resume reads it once.
+        self._opened_snapshot: tuple[int, dict[str, Any]] | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -328,7 +377,8 @@ class SessionJournal:
             fh.write(header)
             fh.flush()
             os.fsync(fh.fileno())
-        return cls(directory, spec, every, last_seq=0)
+        _fsync_directory(directory)
+        return cls(directory, spec, every, last_seq=0, header=header)
 
     @classmethod
     def open(cls, directory: str | Path) -> "SessionJournal":
@@ -359,11 +409,13 @@ class SessionJournal:
             meta.get("spec"),
             meta.get("snapshot_every", DEFAULT_SNAPSHOT_EVERY),
             last_seq=last_seq,
+            header=_encode_record(0, "open", meta),
         )
         # Snapshots may outrun the (compacted) WAL records.
         newest = journal.latest_snapshot()
         if newest is not None:
             journal._last_seq = max(journal._last_seq, newest[0])
+        journal._opened_snapshot = newest
         return journal
 
     @staticmethod
@@ -441,43 +493,55 @@ class SessionJournal:
     def write_snapshot(self, state_payload: dict[str, Any]) -> Path:
         """Persist the state as of :attr:`last_seq`, then compact.
 
-        The snapshot is checksummed and written via temp-file + rename, so
+        The state is encoded once, canonically; the CRC is taken over that
+        same text (it equals ``_checksum(seq, "snapshot", state)``) and the
+        body is written from it.  A non-finite JSON value raises
+        :class:`~repro.errors.PersistenceError` before any file is opened
+        (the packed float64 buffers are stored as exact bytes).
+        The write goes via temp-file + fsync + rename + directory fsync, so
         a crash mid-write leaves either no snapshot or an ignorable torn
-        one — never a plausible-looking wrong one.  Compaction then prunes
-        older snapshots and drops the WAL records the snapshot covers.
+        one — never a plausible-looking wrong one — and the snapshot is
+        durable before compaction drops the WAL records it covers.
         """
         seq = self._last_seq
-        body = {
-            "version": JOURNAL_VERSION,
-            "seq": seq,
-            "state": state_payload,
-            "crc": _checksum(seq, "snapshot", state_payload),
-        }
+        try:
+            state = _canonical(state_payload).encode("utf-8")
+        except ValueError as exc:
+            raise PersistenceError(f"cannot snapshot the session state: {exc}") from None
+        crc = zlib.crc32(b'[%d,"snapshot",' % seq)
+        crc = zlib.crc32(b"]", zlib.crc32(state, crc))
         path = self._snapshot_path(seq)
         tmp = path.with_suffix(".json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(body, fh)
+        with open(tmp, "wb") as fh:
+            fh.write(b'{"version":%d,"seq":%d,"state":' % (SNAPSHOT_FILE_VERSION, seq))
+            fh.write(state)
+            fh.write(b',"crc":%d}' % crc)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        _fsync_directory(self.directory)
+        self._opened_snapshot = None
         self._compact(seq)
         return path
 
     def _compact(self, through_seq: int) -> None:
-        """Prune snapshots and WAL records made redundant by ``through_seq``."""
+        """Prune what the snapshot at ``through_seq`` made redundant.
+
+        A snapshot is taken at :attr:`last_seq`, so it covers every logged
+        record: older snapshots go, and the WAL is cut back to its header
+        line (temp-file + fsync + rename + directory fsync).
+        """
         for stale in self.directory.glob("snapshot-*.json"):
             if stale != self._snapshot_path(through_seq):
                 stale.unlink()
-        records, _, _ = self._scan(self._wal)
-        keep = [records[0]] + [r for r in records[1:] if r["seq"] > through_seq]
         tmp = self._wal.with_suffix(".jsonl.tmp")
         with open(tmp, "wb") as fh:
-            for record in keep:
-                fh.write(_encode_record(record["seq"], record["type"], record["data"]))
+            fh.write(self._header)
             fh.flush()
             os.fsync(fh.fileno())
         self._fh.close()
         os.replace(tmp, self._wal)
+        _fsync_directory(self.directory)
         self._fh = open(self._wal, "ab")
 
     def latest_snapshot(self) -> tuple[int, dict[str, Any]] | None:
@@ -488,10 +552,10 @@ class SessionJournal:
         """
         for path in sorted(self.directory.glob("snapshot-*.json"), reverse=True):
             try:
-                body = json.loads(path.read_text())
+                body = json.loads(path.read_bytes())
                 if body["crc"] != _checksum(body["seq"], "snapshot", body["state"]):
                     continue
-                if body.get("version") != JOURNAL_VERSION:
+                if body.get("version") not in _READABLE_SNAPSHOT_FILE_VERSIONS:
                     continue
             except (ValueError, KeyError, OSError):
                 continue
@@ -538,7 +602,9 @@ def restore_session(
             "has already ingested or replanned"
         )
     after = 0
-    snapshot = journal.latest_snapshot()
+    snapshot, journal._opened_snapshot = journal._opened_snapshot, None
+    if snapshot is None:
+        snapshot = journal.latest_snapshot()
     session._replaying = True
     try:
         if snapshot is not None:

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
+import stat
 import subprocess
 import sys
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +35,21 @@ from repro.session import (
     restore_session,
     session_for_spec,
 )
-from repro.session.persistence import WAL_NAME, decode_state, encode_state
+from repro.session.persistence import (
+    WAL_NAME,
+    _checksum,
+    _encode_record,
+    decode_state,
+    encode_state,
+)
 from repro.testing import faults
 
 EVENTS_FILE = Path(__file__).parent.parent / "examples" / "specs" / "session_events.json"
+
+#: A journal written with version-1 snapshots (JSON float lists): a
+#: ``repro session --replay`` of ``events.json`` (``journal_snapshot_every:
+#: 1``) SIGKILLed before event 4 — one snapshot at seq 3 plus a WAL tail.
+V1_JOURNAL = Path(__file__).parent / "data" / "golden" / "compat" / "session_journal_v1"
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +224,8 @@ class TestStateCodec:
         session = _fresh(stream)
         _apply(session, stream)
         payload = encode_state(session)
-        # The payload must survive the JSON wire (floats via repr).
+        # The payload must survive the JSON wire (buffers packed, the
+        # remaining floats via repr).
         payload = json.loads(json.dumps(payload))
         restored = _fresh(stream)
         restored._replaying = True
@@ -371,6 +385,198 @@ class TestNonFiniteReadings:
                 journal.append("ingest", {"household": 0, "values": [bad]})
         assert wal.read_bytes() == before
         assert journal.last_seq == 0
+
+
+# ---------------------------------------------------------------------- #
+# Record and snapshot encoding: one encode, the same bytes
+# ---------------------------------------------------------------------- #
+
+
+def _sorted_dump(seq, kind, data):
+    """A WAL line as a full ``json.dumps`` of the sorted record."""
+    record = {"seq": seq, "type": kind, "data": data, "crc": _checksum(seq, kind, data)}
+    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+class TestRecordEncoding:
+    @pytest.mark.parametrize("kind", ["open", "ingest", "replan", "retarget", "commit"])
+    def test_every_record_type_matches_the_sorted_dump(self, stream, kind):
+        spec, _, inputs, _ = stream
+        named = spec.to_dict()
+        named["name"] = "Sønderborg ☀ — Ærø"
+        data = {
+            "open": {"version": 1, "spec": named, "snapshot_every": 4},
+            "ingest": {
+                "household": 1,
+                "first": 96,
+                "values": inputs[1].values[96:192].tolist() + [-0.0, 5e-324, 1e308],
+            },
+            "replan": {},
+            "retarget": {"name": "wïnd—forecast ✓", "values": [0.1, -2.5, 1e-310]},
+            "commit": {"through": "2012-03-06T12:00:00"},
+        }[kind]
+        for seq in (0, 7, 123456789):
+            assert _encode_record(seq, kind, data) == _sorted_dump(seq, kind, data)
+
+    def test_non_finite_value_raises_and_writes_nothing(self, tmp_path):
+        journal = SessionJournal.create(tmp_path)
+        journal.append("ingest", {"household": 0, "first": 0, "values": [1.0]})
+        wal = tmp_path / WAL_NAME
+        before = wal.read_bytes()
+        with pytest.raises(PersistenceError, match="cannot journal 'retarget'"):
+            _encode_record(2, "retarget", {"name": "ü", "values": [float("nan")]})
+        with pytest.raises(PersistenceError, match="cannot journal 'ingest'"):
+            journal.append("ingest", {"household": 0, "values": [1.0, float("inf")]})
+        assert wal.read_bytes() == before
+        assert journal.last_seq == 1
+
+
+class TestSnapshotWriter:
+    def _journaled(self, stream, tmp_path, stop=3):
+        session = _fresh(stream)
+        session.attach_journal(SessionJournal.create(tmp_path, snapshot_every=1))
+        header = (tmp_path / WAL_NAME).read_bytes()
+        _apply(session, stream, stop=stop)
+        return session, header
+
+    def test_body_and_crc(self, tmp_path, stream):
+        session, _ = self._journaled(stream, tmp_path)
+        path = tmp_path / "snapshot-00000003.json"
+        body = json.loads(path.read_bytes())
+        assert set(body) == {"version", "seq", "state", "crc"}
+        assert body["version"] == 2
+        assert body["seq"] == 3
+        assert body["crc"] == _checksum(3, "snapshot", body["state"])
+        assert body["state"] == json.loads(json.dumps(encode_state(session)))
+
+    def test_compaction_leaves_exactly_the_header_line(self, tmp_path, stream):
+        session, header = self._journaled(stream, tmp_path)
+        assert header.count(b"\n") == 1
+        assert (tmp_path / WAL_NAME).read_bytes() == header
+        _apply(session, stream, start=3, stop=5)  # two more ingests: a tail
+        assert (tmp_path / WAL_NAME).read_bytes() != header
+        _apply(session, stream, start=5, stop=6)  # replan -> snapshot 6
+        assert (tmp_path / WAL_NAME).read_bytes() == header
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_non_finite_state_raises_and_writes_nothing(self, tmp_path, stream):
+        session, _ = self._journaled(stream, tmp_path, stop=4)  # snapshot + tail
+        journal = session.journal
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["snapshot-00000003.json", WAL_NAME]
+        payload = encode_state(session)
+        payload["households"][0]["summary"]["poison"] = float("nan")
+        with pytest.raises(PersistenceError, match="cannot snapshot"):
+            journal.write_snapshot(payload)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # The journal is still usable and resumes to the pre-failure state.
+        journal.close()
+        recovered = restore_session(_fresh(stream), tmp_path)
+        assert recovered.journal.last_seq == 4
+
+    def test_fsync_and_rename_order(self, tmp_path, stream, monkeypatch):
+        session, _ = self._journaled(stream, tmp_path, stop=2)
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                calls.append(("fsync", "<dir>"))
+            else:
+                names = [
+                    p.name for p in tmp_path.iterdir() if p.stat().st_ino == info.st_ino
+                ]
+                calls.append(("fsync", names[0] if names else "?"))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        _apply(session, stream, start=2, stop=3)  # replan -> snapshot + compact
+        assert calls == [
+            ("fsync", "snapshot-00000003.json.tmp"),
+            ("replace", "snapshot-00000003.json"),
+            ("fsync", "<dir>"),
+            ("fsync", "wal.jsonl.tmp"),
+            ("replace", WAL_NAME),
+            ("fsync", "<dir>"),
+        ]
+
+    def test_packed_buffers_round_trip_bitwise(self, stream):
+        session = _fresh(stream)
+        awkward = np.array(
+            [
+                -0.0,
+                5e-324,  # smallest subnormal
+                -2.225073858507201e-308,  # largest subnormal, negated
+                2.2250738585072014e-308,  # smallest normal
+                1.7976931348623157e308,
+                -1.7976931348623157e308,
+                0.1,
+                1 / 3,
+            ]
+        )
+        session.ingest(0, 0, awkward)
+        payload = json.loads(json.dumps(encode_state(session)))
+        assert isinstance(payload["households"][0]["values"], str)
+        restored = _fresh(stream)
+        decode_state(restored, payload)
+        for live, original in zip(restored.state.households, session.state.households):
+            assert live.values.dtype == np.float64
+            assert live.values.tobytes() == original.values.tobytes()
+        assert restored.state.households[0].values[:8].tobytes() == awkward.tobytes()
+        assert restored.target.values.tobytes() == session.target.values.tobytes()
+        # Restored buffers are owned and writable: ingest keeps working.
+        restored.ingest(0, 8, [1.0])
+
+    def test_resume_reads_the_snapshot_once(self, tmp_path, stream, monkeypatch):
+        spec, fleet, _, _ = stream
+        session = _fresh(stream)
+        session.attach_journal(
+            SessionJournal.create(tmp_path, spec=spec.to_dict(), snapshot_every=1)
+        )
+        _apply(session, stream, stop=4)
+        session.journal.close()
+        reads = []
+        real = SessionJournal.latest_snapshot
+
+        def counted(journal):
+            reads.append(journal.directory)
+            return real(journal)
+
+        monkeypatch.setattr(SessionJournal, "latest_snapshot", counted)
+        recovered = FlexibilitySession.resume(tmp_path, fleet=fleet)
+        assert len(reads) == 1
+        assert recovered.journal.last_seq == 4
+
+
+class TestVersionOneJournal:
+    """Journals written before snapshots packed their buffers still resume."""
+
+    def test_fixture_holds_a_v1_snapshot_and_a_wal_tail(self):
+        journal = V1_JOURNAL / "journal"
+        (snapshot,) = journal.glob("snapshot-*.json")
+        body = json.loads(snapshot.read_bytes())
+        assert body["version"] == 1
+        assert isinstance(body["state"]["households"][0]["values"], list)
+        assert len((journal / WAL_NAME).read_bytes().splitlines()) == 2
+
+    def test_resume_matches_the_uninterrupted_replay(self, tmp_path):
+        events = V1_JOURNAL / "events.json"
+        journal = tmp_path / "journal"
+        shutil.copytree(V1_JOURNAL / "journal", journal)
+        baseline = replay_session(events)
+        resumed = replay_session(events, journal_dir=journal, resume=True)
+        assert resumed["final"] == baseline["final"]
+        assert resumed["committed"] == baseline["committed"]
+        assert resumed["committed_stable"]
+        # Snapshots taken after the resume are written as version 2.
+        (snapshot,) = journal.glob("snapshot-*.json")
+        assert json.loads(snapshot.read_bytes())["version"] == 2
 
 
 # ---------------------------------------------------------------------- #
